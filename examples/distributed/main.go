@@ -1,5 +1,5 @@
 // Distributed: Algorithm 3 running as a real message-passing protocol —
-// one goroutine per reader, synchronous rounds, hop-bounded flooding over
+// one node program per reader, synchronous rounds, hop-bounded flooding over
 // the interference-graph radio topology, no central entity. The example
 // reports the communication cost (rounds, messages) alongside schedule
 // quality, and shows how the control parameter c trades locality against

@@ -11,13 +11,12 @@ import (
 	"rfidsched/internal/model"
 	"rfidsched/internal/mwfs"
 	"rfidsched/internal/obs"
-	"rfidsched/internal/randx"
 )
 
 // Distributed is Algorithm 3: the fully distributed One-Shot scheduler
 // without location information (Section V-B). Every reader runs the same
-// node program over the interference-graph radio topology (one goroutine
-// per reader per round, see package distnet):
+// node program over the interference-graph radio topology, and the distnet
+// kernel delivers only messages between interference neighbors:
 //
 //	Step 1  Each White reader collects (id, weight, adjacency) records from
 //	        its (2c+2)-hop neighborhood by flooding.
@@ -153,17 +152,22 @@ func (d *Distributed) OneShot(sys *model.System) ([]int, error) {
 	}
 
 	decisions := make([]int8, n)
+	// One weight oracle for every node program: the kernel runs Steps one
+	// at a time, and the clone keeps their scratch off the caller's system.
+	oracle := sys.Clone()
 	nodes := make([]distnet.Node, n)
 	for id := 0; id < n; id++ {
 		nodes[id] = &alg3Node{
 			id:          id,
 			g:           d.G,
-			sys:         sys.Clone(), // private weight oracle: scratch + read-state isolation
+			sys:         oracle,
 			rho:         d.Rho,
 			c:           c,
 			epochLen:    epochLen,
 			solverNodes: d.SolverNodes,
 			decisions:   decisions,
+			known:       map[int]infoRec{},
+			seenResults: map[int]bool{},
 		}
 	}
 	net := distnet.NewNetwork(d.G)
@@ -201,21 +205,21 @@ func (d *Distributed) OneShot(sys *model.System) ([]int, error) {
 	return X, nil
 }
 
-// attachFaults merges the legacy LossRate knob and the Faults scenario into
-// one compiled plan on net. No faults configured leaves net untouched.
+// attachFaults compiles the LossRate knob and the Faults scenario into one
+// plan on net. No faults configured leaves net untouched.
 func (d *Distributed) attachFaults(net *distnet.Network) error {
-	if d.Faults == nil || d.Faults.IsZero() {
-		if d.LossRate > 0 {
-			net.WithLoss(d.LossRate, randx.New(d.LossSeed).Float64)
+	sc := fault.Scenario{Seed: d.LossSeed}
+	if d.Faults != nil {
+		sc.Events = append(sc.Events, d.Faults.Events...)
+		if d.Faults.Seed != 0 {
+			sc.Seed = d.Faults.Seed
 		}
-		return nil
-	}
-	sc := fault.Scenario{Seed: d.Faults.Seed, Events: append([]fault.Event(nil), d.Faults.Events...)}
-	if sc.Seed == 0 {
-		sc.Seed = d.LossSeed
 	}
 	if d.LossRate > 0 {
 		sc.Events = append(sc.Events, fault.Loss(d.LossRate, 0, fault.Forever))
+	}
+	if sc.IsZero() {
+		return nil
 	}
 	plan, err := sc.Compile(d.G.N())
 	if err != nil {
@@ -257,11 +261,15 @@ type alg3Node struct {
 	solverNodes int
 	decisions   []int8
 
+	// Per-epoch flooding state. The fresh lists hold received payloads
+	// as they arrived (boxed infoRec / resultMsg), so forwarding does not
+	// box a record again on every hop.
 	state        int8
 	known        map[int]infoRec
-	freshInfo    []infoRec
+	freshInfo    []any
 	seenResults  map[int]bool
-	freshResults []resultMsg
+	freshResults []any
+	out          []distnet.Message // outbox, reused across rounds
 
 	// knownRed accumulates, across epochs, every reader this node has
 	// heard committed (Red) in announcements. A head passes them to its
@@ -280,13 +288,12 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 	if re == 0 {
 		// New epoch: forget the previous epoch's view — the White set
 		// shrank, so distances and weights must be re-collected.
-		nd.known = map[int]infoRec{}
-		nd.freshInfo = nil
-		nd.seenResults = map[int]bool{}
-		nd.freshResults = nil
+		clear(nd.known)
+		clear(nd.seenResults)
+		nd.freshResults = nd.freshResults[:0]
 		self := infoRec{Origin: nd.id, Weight: nd.sys.SingletonWeight(nd.id), Nbrs: nd.g.Neighbors(nd.id)}
 		nd.known[nd.id] = self
-		nd.freshInfo = append(nd.freshInfo, self)
+		nd.freshInfo = append(nd.freshInfo[:0], self)
 	}
 
 	// Ingest.
@@ -295,25 +302,25 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 		case infoRec:
 			if _, ok := nd.known[p.Origin]; !ok {
 				nd.known[p.Origin] = p
-				nd.freshInfo = append(nd.freshInfo, p)
+				nd.freshInfo = append(nd.freshInfo, m.Payload)
 			}
 		case resultMsg:
 			if !nd.seenResults[p.Head] {
 				nd.seenResults[p.Head] = true
-				nd.freshResults = append(nd.freshResults, p)
+				nd.freshResults = append(nd.freshResults, m.Payload)
 				nd.apply(p)
 			}
 		}
 	}
 
-	var out []distnet.Message
+	out := nd.out[:0]
 	switch {
 	case re < collect:
 		// Step 1: flood info records.
 		for _, rec := range nd.freshInfo {
-			out = append(out, distnet.Broadcast(nd.g, nd.id, rec)...)
+			out = distnet.Broadcast(out, nd.g, nd.id, rec)
 		}
-		nd.freshInfo = nil
+		nd.freshInfo = nd.freshInfo[:0]
 
 	case re == collect:
 		// Step 2: coordinator election and local computation.
@@ -321,15 +328,15 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 			res := nd.computeResult()
 			nd.seenResults[nd.id] = true
 			nd.apply(res)
-			out = distnet.Broadcast(nd.g, nd.id, res)
+			out = distnet.Broadcast(out, nd.g, nd.id, res)
 		}
 
 	case re < nd.epochLen-1:
 		// Step 3: flood announcements.
 		for _, res := range nd.freshResults {
-			out = append(out, distnet.Broadcast(nd.g, nd.id, res)...)
+			out = distnet.Broadcast(out, nd.g, nd.id, res)
 		}
-		nd.freshResults = nil
+		nd.freshResults = nd.freshResults[:0]
 
 	default:
 		// Decision round: Red/Black park, White continues into the next
@@ -339,6 +346,7 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 			return nil, true
 		}
 	}
+	nd.out = out
 	return out, false
 }
 

@@ -46,8 +46,9 @@ type MCSOptions struct {
 	// against cores. Callers running many trials concurrently should keep
 	// this at 1 so trial-level and solver-level pools do not oversubscribe
 	// (see experiments.Config.SolverWorkers). Distributed (Algorithm 3) has
-	// no knob on purpose: its node programs already run one goroutine per
-	// reader, so its inner solvers stay sequential.
+	// no knob on purpose: each node program stands for one reader's own
+	// processor, and its local solves over hop-bounded balls stay
+	// sequential.
 	SolverWorkers int
 
 	// SlotDeadline bounds each slot's one-shot computation in wall-clock

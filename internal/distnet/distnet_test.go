@@ -27,11 +27,11 @@ type flooder struct {
 func (f *flooder) Step(round int, inbox []Message) ([]Message, bool) {
 	if f.id == 0 && round == 0 {
 		atomic.StoreInt32(&f.heard, 1)
-		return Broadcast(f.g, 0, "tok"), false
+		return Broadcast(nil, f.g, 0, "tok"), false
 	}
 	if atomic.LoadInt32(&f.heard) == 0 && len(inbox) > 0 {
 		atomic.StoreInt32(&f.heard, int32(round)+1)
-		return Broadcast(f.g, f.id, "tok"), false
+		return Broadcast(nil, f.g, f.id, "tok"), false
 	}
 	// Park once heard (or after enough silence).
 	if atomic.LoadInt32(&f.heard) != 0 || round > 10 {
@@ -155,7 +155,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 				if round >= 3 {
 					return nil, true
 				}
-				return Broadcast(g, i, round), false
+				return Broadcast(nil, g, i, round), false
 			})
 		}
 		return nodes, g
@@ -184,5 +184,40 @@ func TestTimeoutStatsStillReturned(t *testing.T) {
 	}
 	if stats == nil || stats.Rounds != 2 {
 		t.Errorf("stats on timeout: %+v", stats)
+	}
+}
+
+// pinger sends the same prebuilt broadcast every round and parks at round
+// last, so any allocation in a run belongs to the kernel.
+type pinger struct {
+	out  []Message
+	last int
+}
+
+func (p *pinger) Step(round int, _ []Message) ([]Message, bool) {
+	if round >= p.last {
+		return nil, true
+	}
+	return p.out, false
+}
+
+// TestRunAllocsIndependentOfRounds pins the round kernel's buffer reuse:
+// a run's buffers are set up in its first rounds, so 200 rounds of
+// constant traffic must allocate exactly as much as 20.
+func TestRunAllocsIndependentOfRounds(t *testing.T) {
+	g := mustGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+	allocs := func(rounds int) float64 {
+		nodes := make([]Node, g.N())
+		for i := range nodes {
+			nodes[i] = &pinger{out: Broadcast(nil, g, i, "ping"), last: rounds}
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewNetwork(g).Run(nodes, rounds+1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(20), allocs(200); short != long {
+		t.Errorf("Run allocations grow with rounds: %v at 20 rounds, %v at 200", short, long)
 	}
 }

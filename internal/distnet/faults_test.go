@@ -227,11 +227,12 @@ func TestParkedNodesReceiveNothing(t *testing.T) {
 	}
 }
 
-func TestWithLossShimDropsEverything(t *testing.T) {
+func TestRateOneLossDropsEverything(t *testing.T) {
 	g := mustGraph(t, 2, [][2]int{{0, 1}})
 	sender := newChatter(0, 1, 3)
 	receiver := newChatter(1, -1, 3)
-	stats, err := NewNetwork(g).WithLoss(1.0, func() float64 { return 0 }).Run([]Node{sender, receiver}, 100)
+	plan := fault.MustCompile(fault.Scenario{Events: []fault.Event{fault.Loss(1.0, 0, fault.Forever)}}, 2)
+	stats, err := NewNetwork(g).WithFaults(plan).Run([]Node{sender, receiver}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,7 @@ const (
 	// [At, Until): messages across cut edges are dropped.
 	KindPartition
 	// KindLoss drops each message independently with probability Rate
-	// during [At, Until) — the generalization of the old Bernoulli
-	// WithLoss knob.
+	// during [At, Until) (Bernoulli loss).
 	KindLoss
 	// KindDuplicate delivers each message twice with probability Rate
 	// during [At, Until).
@@ -174,8 +173,7 @@ type Plan struct {
 	dup      []Event
 	reorder  []span
 
-	rng  *randx.RNG
-	draw func() float64
+	rng *randx.RNG
 }
 
 // Compile validates the scenario against an n-node system and builds the
@@ -191,7 +189,6 @@ func (s Scenario) Compile(n int) (*Plan, error) {
 		cuts:     map[uint64][]span{},
 	}
 	p.rng = randx.New(s.Seed)
-	p.draw = p.rng.Float64
 	for i, ev := range s.Events {
 		if ev.At < 0 {
 			return nil, fmt.Errorf("fault: event %d (%s): negative start tick %d", i, ev.Kind, ev.At)
@@ -275,10 +272,6 @@ func edgeKey(u, v int) uint64 {
 // N returns the node count the plan was compiled for.
 func (p *Plan) N() int { return p.n }
 
-// SetDraw overrides the loss-draw source; the legacy distnet WithLoss shim
-// uses it to preserve caller-supplied randomness streams.
-func (p *Plan) SetDraw(draw func() float64) { p.draw = draw }
-
 // RNGState captures the plan's probabilistic-draw state for checkpointing.
 // A resumed consumer compiles the same Scenario (rebuilding the immutable
 // interval structures) and calls RestoreRNG so the probabilistic kinds
@@ -286,9 +279,7 @@ func (p *Plan) SetDraw(draw func() float64) { p.draw = draw }
 // run was drawing from.
 func (p *Plan) RNGState() (state, inc uint64) { return p.rng.State() }
 
-// RestoreRNG restores the draw stream captured by RNGState. It does not
-// undo a SetDraw override — callers that replaced the draw source own its
-// persistence.
+// RestoreRNG restores the draw stream captured by RNGState.
 func (p *Plan) RestoreRNG(state, inc uint64) { p.rng.SetState(state, inc) }
 
 // Crashed reports whether node is down (fail-stop, not yet recovered) at
@@ -326,7 +317,7 @@ func (p *Plan) Reordered(t int) bool { return inSpans(p.reorder, t) }
 func (p *Plan) Drop(t int) bool {
 	drop := false
 	for _, ev := range p.loss {
-		if t >= ev.At && t < ev.Until && p.draw() < ev.Rate {
+		if t >= ev.At && t < ev.Until && p.rng.Float64() < ev.Rate {
 			drop = true
 		}
 	}
