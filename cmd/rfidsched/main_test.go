@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rfidsched/internal/checkpoint"
 	"rfidsched/internal/core"
@@ -288,20 +289,37 @@ func TestSchedHTTPServesTelemetry(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(b)
 	}
+	// The address prints before the run has planned a slot, so an endpoint
+	// may not show its series yet: poll until they appear or 10 s pass, then
+	// let the assertions below judge the last response.
+	deadline := time.Now().Add(10 * time.Second)
+	poll := func(p string, series ...string) (int, string) {
+		for {
+			code, body := get(p)
+			ready := code == 200
+			for _, s := range series {
+				ready = ready && strings.Contains(body, s)
+			}
+			if ready || time.Now().After(deadline) {
+				return code, body
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
 
 	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz: %d %q", code, body)
 	}
 	// The run is short; by the linger window the gauges hold final values.
-	if code, body := get("/metrics"); code != 200 ||
+	if code, body := poll("/metrics", "mcs_slot_current", "span_solve_seconds_count"); code != 200 ||
 		!strings.Contains(body, "mcs_slot_current") ||
 		!strings.Contains(body, "span_solve_seconds_count") {
 		t.Errorf("/metrics missing live series (status %d):\n%s", code, body)
 	}
-	if code, body := get("/runs"); code != 200 || !strings.Contains(body, "tags_read") {
+	if code, body := poll("/runs", "tags_read"); code != 200 || !strings.Contains(body, "tags_read") {
 		t.Errorf("/runs: %d %q", code, body)
 	}
-	if code, body := get("/debug/flight"); code != 200 || !strings.Contains(body, "slot_planned") {
+	if code, body := poll("/debug/flight", "slot_planned"); code != 200 || !strings.Contains(body, "slot_planned") {
 		t.Errorf("/debug/flight: %d %q", code, body)
 	}
 

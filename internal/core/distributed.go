@@ -152,9 +152,11 @@ func (d *Distributed) OneShot(sys *model.System) ([]int, error) {
 	}
 
 	decisions := make([]int8, n)
-	// One weight oracle for every node program: the kernel runs Steps one
-	// at a time, and the clone keeps their scratch off the caller's system.
+	// One weight oracle and one head view for every node program: the
+	// kernel runs Steps one at a time, and the clone keeps their scratch off
+	// the caller's system.
 	oracle := sys.Clone()
+	view := &headView{conf: model.NewConflictMatrix(n), heard: make([]uint64, (n+63)/64), dist: make([]int32, n)}
 	nodes := make([]distnet.Node, n)
 	for id := 0; id < n; id++ {
 		nodes[id] = &alg3Node{
@@ -166,6 +168,7 @@ func (d *Distributed) OneShot(sys *model.System) ([]int, error) {
 			epochLen:    epochLen,
 			solverNodes: d.SolverNodes,
 			decisions:   decisions,
+			view:        view,
 			known:       map[int]infoRec{},
 			seenResults: map[int]bool{},
 		}
@@ -260,6 +263,7 @@ type alg3Node struct {
 	epochLen    int
 	solverNodes int
 	decisions   []int8
+	view        *headView
 
 	// Per-epoch flooding state. The fresh lists hold received payloads
 	// as they arrived (boxed infoRec / resultMsg), so forwarding does not
@@ -387,69 +391,84 @@ func (nd *alg3Node) isHead() bool {
 // computeResult runs the Algorithm 2 growth rule on the locally collected
 // White subgraph around this head.
 func (nd *alg3Node) computeResult() resultMsg {
-	adj := nd.localAdjacency()
-	indep := func(u, v int) bool {
-		for _, w := range adj[u] {
-			if w == v {
-				return false
-			}
-		}
-		return true
-	}
+	nd.view.load(nd.id, nd.c+1, nd.known)
 	committed := make([]int, 0, len(nd.knownRed))
 	for v := range nd.knownRed {
 		committed = append(committed, v)
 	}
 	slices.Sort(committed)
-	opts := mwfs.Options{MaxNodes: nd.solverNodes, Independent: indep, Context: committed}
+	opts := mwfs.Options{MaxNodes: nd.solverNodes, Conflicts: nd.view.conf, Context: committed}
 
 	cur := mwfs.Solve(nd.sys, []int{nd.id}, opts)
 	r := 0
 	for r < nd.c {
-		ball := nd.localBall(adj, r+1)
-		next := mwfs.Solve(nd.sys, ball, opts)
+		next := mwfs.Solve(nd.sys, nd.view.ball(r+1), opts)
 		if float64(next.Weight) < nd.rho*float64(cur.Weight) {
 			break
 		}
 		cur = next
 		r++
 	}
-	return resultMsg{Head: nd.id, Gamma: cur.Set, Removed: nd.localBall(adj, r+1)}
+	return resultMsg{Head: nd.id, Gamma: cur.Set, Removed: nd.view.ball(r + 1)}
 }
 
-// localAdjacency restricts collected adjacency lists to White nodes the
-// head actually heard from, yielding the local White subgraph.
-func (nd *alg3Node) localAdjacency() map[int][]int {
-	adj := make(map[int][]int, len(nd.known))
-	for o, rec := range nd.known {
+// headView is a head's picture of its local White subgraph, rebuilt from
+// the collected records alone so the protocol stays local: the conflict
+// rows of the readers it heard from (edges to unheard readers dropped) and
+// their hop distance from the head. The heads of one OneShot call share
+// one view, as they share the weight oracle.
+type headView struct {
+	conf  model.ConflictMatrix
+	heard []uint64 // bitset of the readers with a collected record
+	dist  []int32  // hops from the head, -1 beyond the loaded radius
+	queue []int32
+	nbrs  []int32
+}
+
+// load rebuilds the rows from known, then the hop distances from head out
+// to radius r. Rows of unheard readers stay empty; they are never
+// candidates.
+func (hv *headView) load(head, r int, known map[int]infoRec) {
+	clear(hv.conf.Bits)
+	clear(hv.heard)
+	for o := range known {
+		hv.heard[o>>6] |= 1 << (uint(o) & 63)
+	}
+	for o, rec := range known {
+		row := hv.conf.Row(o)
+		row[o>>6] |= 1 << (uint(o) & 63)
 		for _, w := range rec.Nbrs {
-			if _, ok := nd.known[int(w)]; ok {
-				adj[o] = append(adj[o], int(w))
-			}
+			row[w>>6] |= hv.heard[w>>6] & (1 << (uint(w) & 63))
 		}
 	}
-	return adj
-}
-
-// localBall is BFS to radius r on the local White subgraph from this node.
-func (nd *alg3Node) localBall(adj map[int][]int, r int) []int {
-	dist := map[int]int{nd.id: 0}
-	queue := []int{nd.id}
-	out := []int{nd.id}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if dist[u] >= r {
+	for i := range hv.dist {
+		hv.dist[i] = -1
+	}
+	hv.dist[head] = 0
+	hv.queue = append(hv.queue[:0], int32(head))
+	for q := 0; q < len(hv.queue); q++ {
+		u := hv.queue[q]
+		if int(hv.dist[u]) == r {
 			continue
 		}
-		for _, w := range adj[u] {
-			if _, ok := dist[w]; !ok {
-				dist[w] = dist[u] + 1
-				queue = append(queue, w)
-				out = append(out, w)
+		hv.nbrs = hv.conf.AppendNeighbors(hv.nbrs[:0], int(u))
+		for _, w := range hv.nbrs {
+			if hv.dist[w] < 0 {
+				hv.dist[w] = hv.dist[u] + 1
+				hv.queue = append(hv.queue, w)
 			}
 		}
 	}
-	slices.Sort(out)
+}
+
+// ball returns the readers within r hops of the head, ascending; r must
+// not exceed the radius of the last load.
+func (hv *headView) ball(r int) []int {
+	var out []int
+	for v, d := range hv.dist {
+		if d >= 0 && int(d) <= r {
+			out = append(out, v)
+		}
+	}
 	return out
 }

@@ -23,9 +23,11 @@ import (
 // c(ρ), which the implementation exposes via LastMaxRadius so tests can
 // verify it.
 type Growth struct {
-	// G is the interference graph. The scheduler treats two readers as
-	// compatible iff they are non-adjacent in G, never consulting geometry,
-	// so a survey-estimated graph can be substituted for the true one.
+	// G is the interference graph. Every local MWFS solve judges
+	// feasibility by G's conflict rows (G.Conflicts), so two readers are
+	// compatible iff they are non-adjacent in G and geometry is never
+	// consulted: a survey-estimated graph can be substituted for the true
+	// one. G must have one vertex per reader of the scheduled system.
 	G *graph.Graph
 
 	// Rho is the growth threshold ρ = 1+ε > 1. Smaller ε means a better
@@ -104,8 +106,6 @@ func (gr *Growth) OneShot(sys *model.System) ([]int, error) {
 	if maxR <= 0 {
 		maxR = radiusBound(gr.Rho, sys.NumTags())
 	}
-	indep := func(u, v int) bool { return !gr.G.HasEdge(u, v) }
-
 	gr.LastMaxRadius = 0
 	gr.LastCoordinators = 0
 	gr.lastAnytime = false
@@ -119,7 +119,7 @@ func (gr *Growth) OneShot(sys *model.System) ([]int, error) {
 		}
 		gr.LastCoordinators++
 
-		gamma, rBar := gr.growLocal(sys, alive, v, maxR, indep, X)
+		gamma, rBar := gr.growLocal(sys, alive, v, maxR, X)
 		if rBar > gr.LastMaxRadius {
 			gr.LastMaxRadius = rBar
 		}
@@ -174,8 +174,8 @@ func pruneByWeight(sys *model.System, X []int) []int {
 // readers already committed by earlier clusters are passed as solver
 // context so the local objective is the marginal weight — overlap between
 // clusters is charged where it belongs.
-func (gr *Growth) growLocal(sys *model.System, alive []bool, v, maxR int, indep func(u, v int) bool, committed []int) ([]int, int) {
-	opts := mwfs.Options{MaxNodes: gr.SolverNodes, Workers: gr.Workers, Independent: indep, Context: committed, Deadline: gr.Deadline}
+func (gr *Growth) growLocal(sys *model.System, alive []bool, v, maxR int, committed []int) ([]int, int) {
+	opts := mwfs.Options{MaxNodes: gr.SolverNodes, Workers: gr.Workers, Conflicts: gr.G.Conflicts(), Context: committed, Deadline: gr.Deadline}
 	cur := mwfs.Solve(sys, []int{v}, opts) // Γ_0 = {v}
 	if cur.TimedOut {
 		// Expired before Γ_0 could even be scored: degrade to the seed

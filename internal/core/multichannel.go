@@ -62,27 +62,19 @@ func (m MultiChannel) OneShot(sys *model.System) (Assignment, error) {
 	// Per-channel independence is a word-AND against the channel's member
 	// bitset — same verdicts as the pairwise Independent loop, one test per
 	// 64 members.
-	conf, confW := sys.ConflictBits()
+	conf := sys.ConflictBits()
 	chBits := make([][]uint64, c)
 	for ch := range chBits {
-		chBits[ch] = make([]uint64, confW)
+		chBits[ch] = make([]uint64, conf.Stride)
 	}
 	curW := 0
 	for _, v := range order {
 		if single[v] == 0 {
 			break // nothing below can add weight either
 		}
-		row := conf[v*confW : (v+1)*confW]
 		bestCh, bestW := -1, curW
 		for ch := 0; ch < c; ch++ {
-			ok := true
-			for k, wd := range row {
-				if wd&chBits[ch][k] != 0 {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if conf.ConflictsWithAny(v, chBits[ch]) {
 				continue
 			}
 			plan.Readers = append(plan.Readers, v)

@@ -224,8 +224,8 @@ func augmentFeasible(sys *model.System, X []int) []int {
 	// Feasibility against the working set is a word-AND over the conflict
 	// bitsets (identical verdicts to the pairwise Independent loop), so each
 	// candidate probe is O(n/64) instead of O(|cur|) predicate calls.
-	conf, confW := sys.ConflictBits()
-	curBits := make([]uint64, confW)
+	conf := sys.ConflictBits()
+	curBits := make([]uint64, conf.Stride)
 	for _, v := range X {
 		in[v] = true
 		curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
@@ -239,15 +239,7 @@ func augmentFeasible(sys *model.System, X []int) []int {
 			if in[v] {
 				continue
 			}
-			row := conf[v*confW : (v+1)*confW]
-			feasible := true
-			for k, wd := range row {
-				if wd&curBits[k] != 0 {
-					feasible = false
-					break
-				}
-			}
-			if !feasible {
+			if conf.ConflictsWithAny(v, curBits) {
 				continue
 			}
 			if w := curW + eval.MarginalGain(v); w > bestW {
@@ -465,7 +457,7 @@ func (dp *ptasDP) solve(key sqKey, ctx []int) []int {
 				d := cands[i]
 				ok := true
 				for _, c := range chosen {
-					if !dp.independent(d, c) {
+					if !dp.sys.Independent(d, c) {
 						ok = false
 						break
 					}
@@ -489,9 +481,8 @@ func (dp *ptasDP) solve(key sqKey, ctx []int) []int {
 			// own chunked polls truncate the subtree search, and its anytime
 			// best is still worth evaluating — the incumbent is feasible.
 			res := mwfs.Solve(dp.sys, cands, mwfs.Options{
-				MaxNodes:    remaining,
-				Independent: dp.independent,
-				Deadline:    dp.dl,
+				MaxNodes: remaining,
+				Deadline: dp.dl,
 			})
 			dp.evals += res.Nodes
 			if res.TimedOut {
@@ -546,15 +537,11 @@ func (dp *ptasDP) filterIntersecting(set []int, ck sqKey) []int {
 
 func (dp *ptasDP) compatible(d int, ctx []int) bool {
 	for _, c := range ctx {
-		if !dp.independent(d, c) {
+		if !dp.sys.Independent(d, c) {
 			return false
 		}
 	}
 	return true
-}
-
-func (dp *ptasDP) independent(a, b int) bool {
-	return dp.sys.Independent(a, b)
 }
 
 // weightWith returns w(set ∪ ctx) on the solver's system handle.

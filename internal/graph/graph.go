@@ -10,19 +10,21 @@ package graph
 
 import (
 	"fmt"
-	"slices"
-	"sort"
+	"math/bits"
 
 	"rfidsched/internal/model"
 )
 
-// Graph is an undirected simple graph over vertices 0..n-1 with sorted
-// adjacency lists. It is immutable after construction and safe for
-// concurrent reads.
+// Graph is an undirected simple graph over vertices 0..n-1. It holds the
+// relation twice: as packed conflict rows (a model.ConflictMatrix with
+// the self bits set, which the mwfs solver consumes and HasEdge tests) and
+// as sorted adjacency lists expanded from those rows for traversal. It is
+// immutable after construction and safe for concurrent reads.
 type Graph struct {
-	n   int
-	adj [][]int32
-	m   int // edge count
+	n    int
+	adj  [][]int32
+	m    int // edge count
+	conf model.ConflictMatrix
 }
 
 // New builds a graph over n vertices from an edge list. Self-loops and
@@ -31,8 +33,7 @@ func New(n int, edges [][2]int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	g := &Graph{n: n, adj: make([][]int32, n)}
-	seen := make(map[[2]int]bool, len(edges))
+	conf := model.NewConflictMatrix(n)
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if u == v {
@@ -41,37 +42,36 @@ func New(n int, edges [][2]int) (*Graph, error) {
 		if u < 0 || v < 0 || u >= n || v >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 		}
-		key := [2]int{min(u, v), max(u, v)}
-		if seen[key] {
+		if conf.Conflicts(u, v) {
 			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 		}
-		seen[key] = true
-		g.adj[u] = append(g.adj[u], int32(v))
-		g.adj[v] = append(g.adj[v], int32(u))
-		g.m++
+		conf.Set(u, v)
 	}
-	for _, l := range g.adj {
-		slices.Sort(l)
-	}
-	return g, nil
+	return fromConflicts(n, conf), nil
 }
 
 // FromSystem derives the true interference graph of a deployment: an edge
 // joins i and j iff they are not independent. This is the graph a perfect
 // RF site survey would measure; package survey builds the noisy version.
+// The graph shares the system's conflict matrix.
 func FromSystem(sys *model.System) *Graph {
-	n := sys.NumReaders()
-	g := &Graph{n: n, adj: make([][]int32, n)}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !sys.Independent(i, j) {
-				g.adj[i] = append(g.adj[i], int32(j))
-				g.adj[j] = append(g.adj[j], int32(i))
-				g.m++
-			}
-		}
+	return fromConflicts(sys.NumReaders(), sys.ConflictBits())
+}
+
+// fromConflicts expands the rows of conf, minus the self bits, into sorted
+// adjacency lists over one backing array.
+func fromConflicts(n int, conf model.ConflictMatrix) *Graph {
+	deg := 0
+	for _, w := range conf.Bits {
+		deg += bits.OnesCount64(w)
 	}
-	// adjacency built in increasing order; already sorted.
+	g := &Graph{n: n, adj: make([][]int32, n), m: (deg - n) / 2, conf: conf}
+	dat := make([]int32, 0, deg-n)
+	for v := 0; v < n; v++ {
+		start := len(dat)
+		dat = conf.AppendNeighbors(dat, v)
+		g.adj[v] = dat[start:len(dat):len(dat)]
+	}
 	return g
 }
 
@@ -99,11 +99,15 @@ func (g *Graph) MaxDegree() int {
 // the returned slice.
 func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
 
-// HasEdge reports whether u and v are adjacent.
+// Conflicts returns the graph's packed conflict rows: bit u of row v is set
+// iff u == v or u and v are adjacent. This is the feasibility matrix the
+// graph-only schedulers hand to mwfs. Callers must not mutate it.
+func (g *Graph) Conflicts() model.ConflictMatrix { return g.conf }
+
+// HasEdge reports whether u and v are adjacent; a v outside [0, N) is
+// adjacent to nothing.
 func (g *Graph) HasEdge(u, v int) bool {
-	l := g.adj[u]
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= int32(v) })
-	return i < len(l) && l[i] == int32(v)
+	return u != v && uint(v) < uint(g.n) && g.conf.Conflicts(u, v)
 }
 
 // IsIndependentSet reports whether no two vertices of set are adjacent. In
@@ -117,18 +121,4 @@ func (g *Graph) IsIndependentSet(set []int) bool {
 		}
 	}
 	return true
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -22,17 +22,21 @@ func pathGraph(t *testing.T, n int) *Graph {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(-1, nil); err == nil {
-		t.Error("negative n accepted")
-	}
-	if _, err := New(2, [][2]int{{0, 0}}); err == nil {
-		t.Error("self-loop accepted")
-	}
-	if _, err := New(2, [][2]int{{0, 5}}); err == nil {
-		t.Error("out-of-range edge accepted")
-	}
-	if _, err := New(2, [][2]int{{0, 1}, {1, 0}}); err == nil {
-		t.Error("duplicate edge accepted")
+	for _, c := range []struct {
+		n     int
+		edges [][2]int
+		want  string
+	}{
+		{-1, nil, "graph: negative vertex count -1"},
+		{2, [][2]int{{0, 0}}, "graph: self-loop at 0"},
+		{2, [][2]int{{0, 5}}, "graph: edge (0,5) out of range [0,2)"},
+		{2, [][2]int{{-1, 1}}, "graph: edge (-1,1) out of range [0,2)"},
+		{2, [][2]int{{0, 1}, {1, 0}}, "graph: duplicate edge (1,0)"},
+		{3, [][2]int{{0, 2}, {1, 2}, {0, 2}}, "graph: duplicate edge (0,2)"},
+	} {
+		if _, err := New(c.n, c.edges); err == nil || err.Error() != c.want {
+			t.Errorf("New(%d, %v): error %v, want %q", c.n, c.edges, err, c.want)
+		}
 	}
 }
 

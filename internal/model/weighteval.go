@@ -342,13 +342,13 @@ func (s *System) conflictRow(u int) []uint64 {
 }
 
 // ConflictBits exposes the packed independence bitsets for feasibility fast
-// paths (mwfs curBits pruning, the PTAS augmentation, channel assignment):
-// reader v's row occupies words [v*stride, (v+1)*stride), bit u set iff v
-// and u are NOT independent. The slice is shared and immutable; callers
+// paths (mwfs pruning, the PTAS augmentation, channel assignment, the true
+// interference graph): bit u of row v is set iff v and u are NOT
+// independent. The matrix is shared by every clone and immutable; callers
 // must not mutate it.
-func (s *System) ConflictBits() (bits []uint64, stride int) {
+func (s *System) ConflictBits() ConflictMatrix {
 	s.conflictRow(0)
-	return s.adj.conflict, s.adj.conflictW
+	return ConflictMatrix{Bits: s.adj.conflict, Stride: s.adj.conflictW}
 }
 
 // WarmAdjacency forces every lazily-built shared structure — interference

@@ -15,9 +15,18 @@
 // with the subadditive bound w(X ∪ S) <= w(X) + Σ_{v∈S} w({v}), which holds
 // because a newly activated reader can only create well-covered tags inside
 // its own interrogation region.
+//
+// Feasibility is judged by one kernel on every path: a packed
+// model.ConflictMatrix, tested with a word-AND of the candidate's row
+// against a bitset mirror of the current set. Algorithm 1 uses the
+// geometric matrix of the system; Algorithms 2 and 3 pass the rows of the
+// interference graph they are allowed to see, so a surveyed graph's extra
+// and missing edges decide feasibility there, never geometry.
 package mwfs
 
 import (
+	"fmt"
+
 	"rfidsched/internal/model"
 	"rfidsched/internal/parsearch"
 )
@@ -40,17 +49,15 @@ type Options struct {
 	// the anytime best may legitimately differ across worker counts; the
 	// shared Exact=false flag means the same thing in every mode: the
 	// global node allowance ran out before the tree did.
-	//
-	// Options.Independent must be safe for concurrent calls (a pure
-	// function of its arguments, as graph- and geometry-backed predicates
-	// are) when Workers >= 2.
 	Workers int
 
-	// Independent overrides the feasibility predicate. Algorithms 2 and 3
-	// pass graph adjacency here so that feasibility is judged purely from
-	// the (possibly survey-estimated) interference graph, never from
-	// geometry. Nil means the system's geometric independence (Def. 2).
-	Independent func(u, v int) bool
+	// Conflicts is the feasibility relation: two candidates may share a set
+	// iff their bit is clear. Algorithms 2 and 3 pass the rows of the
+	// (possibly survey-estimated) interference graph here, so feasibility is
+	// judged purely from the graph, never from geometry. The zero value means
+	// sys.ConflictBits(), the system's geometric independence (Def. 2). A
+	// matrix without a full row for every reader of sys makes Solve panic.
+	Conflicts model.ConflictMatrix
 
 	// Context lists readers already committed to be active elsewhere. The
 	// solver then maximizes the MARGINAL weight w(set ∪ Context) -
@@ -130,9 +137,11 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 		suffix[i] = suffix[i+1] + single[cand[i]]
 	}
 
-	indep := opts.Independent
-	if indep == nil {
-		indep = sys.Independent
+	conf := opts.Conflicts
+	if conf.Bits == nil {
+		conf = sys.ConflictBits()
+	} else if err := conf.CheckCovers(sys.NumReaders()); err != nil {
+		panic(fmt.Sprintf("mwfs: %v", err))
 	}
 
 	// Parallel engine: only when a real pool was requested and the frontier
@@ -141,27 +150,20 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 	// the (sequential) frontier expansion anyway.
 	if workers := parsearch.Normalize(opts.Workers); workers >= 2 {
 		if d := frontierDepth(len(cand), workers); len(cand) > d {
-			return solveParallel(sys, cand, suffix, indep, opts, maxNodes, workers, d)
+			return solveParallel(sys, cand, suffix, conf, opts, maxNodes, workers, d)
 		}
 	}
 
 	s := &solver{
 		sys:      sys,
-		indep:    indep,
+		conf:     conf,
+		curBits:  make([]uint64, conf.Stride),
 		cand:     cand,
 		suffix:   suffix,
 		maxNodes: maxNodes,
 		exact:    true,
 		ctx:      opts.Context,
 		dl:       opts.Deadline,
-	}
-	if opts.Independent == nil {
-		// Geometric feasibility: word-AND against the precomputed conflict
-		// bitsets instead of the per-member predicate loop. Identical verdicts
-		// (the bitsets are derived from the same Interferes comparisons), so
-		// the search trajectory is unchanged.
-		s.conf, s.confW = sys.ConflictBits()
-		s.curBits = make([]uint64, s.confW)
 	}
 	if opts.BruteForce {
 		s.ctxW = sys.Weight(opts.Context)
@@ -190,9 +192,7 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 type solver struct {
 	sys      *model.System
 	eval     *model.WeightEval // nil on the brute-force path
-	indep    func(u, v int) bool
-	conf     []uint64 // conflict bitsets (nil when Options.Independent overrides)
-	confW    int
+	conf     model.ConflictMatrix
 	curBits  []uint64 // bitset mirror of cur, maintained by rec
 	cand     []int
 	suffix   []int
@@ -253,23 +253,9 @@ func (s *solver) rec(i, curW int) {
 
 	v := s.cand[i]
 	// Branch 1: include v if feasible with the current set.
-	var feasible bool
-	if s.conf != nil {
-		feasible = feasibleBits(s.conf, s.confW, v, s.curBits)
-	} else {
-		feasible = true
-		for _, u := range s.cur {
-			if !s.indep(u, v) {
-				feasible = false
-				break
-			}
-		}
-	}
-	if feasible {
+	if !s.conf.ConflictsWithAny(v, s.curBits) {
 		s.cur = append(s.cur, v)
-		if s.curBits != nil {
-			s.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		}
+		s.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
 		if s.eval != nil {
 			s.eval.Add(v)
 			s.rec(i+1, s.eval.Weight()-s.ctxW)
@@ -277,28 +263,11 @@ func (s *solver) rec(i, curW int) {
 		} else {
 			s.rec(i+1, s.marginal())
 		}
-		if s.curBits != nil {
-			s.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
-		}
+		s.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 		s.cur = s.cur[:len(s.cur)-1]
 	}
 	// Branch 2: exclude v.
 	s.rec(i+1, curW)
-}
-
-// feasibleBits reports whether candidate v is independent from every member
-// of the bitset-mirrored current set: a word-AND of v's conflict row against
-// the set bits. Equivalent to the pairwise Independent loop because the
-// conflict bitsets encode exactly the symmetric Interferes relation (plus the
-// self bit, which also reproduces the duplicate-candidate verdict).
-func feasibleBits(conf []uint64, confW, v int, curBits []uint64) bool {
-	row := conf[v*confW : (v+1)*confW]
-	for k, w := range row {
-		if w&curBits[k] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // insertionSortBy sorts a small slice in place with the given less func;

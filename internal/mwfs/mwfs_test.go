@@ -1,10 +1,12 @@
 package mwfs
 
 import (
+	"strings"
 	"testing"
 
 	"rfidsched/internal/deploy"
 	"rfidsched/internal/geom"
+	"rfidsched/internal/graph"
 	"rfidsched/internal/model"
 )
 
@@ -41,6 +43,48 @@ func TestSolveFigure2(t *testing.T) {
 	if len(res.Set) != 2 || res.Set[0] != 0 || res.Set[1] != 2 {
 		t.Errorf("optimal set = %v, want [0 2]", res.Set)
 	}
+}
+
+// TestSolveSurveyedEdgeForbidsPair: A and C are independent in the
+// geometry and form the optimum, but a surveyed graph with an extra A–C
+// edge must keep them apart on every engine.
+func TestSolveSurveyedEdgeForbidsPair(t *testing.T) {
+	s := figure2System(t)
+	if !s.Independent(0, 2) {
+		t.Fatal("A and C should be geometrically independent")
+	}
+	g, err := graph.New(3, [][2]int{{0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{0, 2} {
+		res := Solve(s, []int{0, 1, 2}, Options{Conflicts: g.Conflicts(), Workers: w})
+		if !g.IsIndependentSet(res.Set) {
+			t.Errorf("Workers=%d: set %v violates the surveyed A–C edge", w, res.Set)
+		}
+		// {A,B}, {B,C}, {A,B,C} and {B} all reach 3 once {A,C} is out.
+		if res.Weight != 3 {
+			t.Errorf("Workers=%d: weight = %d, want 3", w, res.Weight)
+		}
+	}
+}
+
+// TestSolveRejectsShortConflictMatrix: a matrix built for fewer readers
+// than the system has must fail loudly instead of reading a neighbouring
+// row's bits.
+func TestSolveRejectsShortConflictMatrix(t *testing.T) {
+	s := figure2System(t)
+	g, err := graph.New(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "cannot cover 3 readers") {
+			t.Errorf("Solve with a 2-reader matrix on 3 readers: recovered %q, want a coverage panic", msg)
+		}
+	}()
+	Solve(s, []int{0, 1, 2}, Options{Conflicts: g.Conflicts()})
 }
 
 func TestSolveRespectsReadTags(t *testing.T) {

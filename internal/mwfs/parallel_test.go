@@ -71,9 +71,32 @@ func TestSolveParallelDeterminism(t *testing.T) {
 	}
 }
 
+// perturbedGraph returns g with roughly one pair in eight flipped — extra
+// edges between independent readers, dropped edges between interfering
+// ones — the shape of a noisy site survey. Its conflict rows are built from
+// the edge list, so they differ from the system's geometric matrix.
+func perturbedGraph(t *testing.T, g *graph.Graph, seed uint64) *graph.Graph {
+	t.Helper()
+	rng := randx.New(seed)
+	var edges [][2]int
+	for u := 0; u < g.N(); u++ {
+		for v := u + 1; v < g.N(); v++ {
+			if g.HasEdge(u, v) != rng.Bool(0.125) {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+	}
+	pg, err := graph.New(g.N(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
+}
+
 // TestSolveParallelDeterminismDense drives deployments dense enough that
 // interference prunes branches INSIDE the frontier depth, over both full
-// candidate lists and graph-ball candidate sets as Algorithm 2 issues them.
+// candidate lists and graph-ball candidate sets as Algorithm 2 issues them,
+// on the true graph's conflict rows and on a perturbed graph's.
 // Regression test: the subtree search must resume at the frontier depth, not
 // at the prefix length — a task prefix holds only the included candidates,
 // so the two differ exactly when the frontier region has exclusions, and
@@ -89,8 +112,6 @@ func TestSolveParallelDeterminismDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := graph.FromSystem(sys)
-
 			full := make([]int, sys.NumReaders())
 			for i := range full {
 				full[i] = i
@@ -103,14 +124,20 @@ func TestSolveParallelDeterminismDense(t *testing.T) {
 					seedReader, bestW = v, w
 				}
 			}
-			indep := func(u, v int) bool { return !g.HasEdge(u, v) }
-			for _, cands := range [][]int{full, g.Ball(seedReader, 4)} {
-				ref := Solve(sys, cands, Options{Independent: indep})
-				for _, w := range []int{2, 4, 8} {
-					got := Solve(sys, cands, Options{Independent: indep, Workers: w})
-					if !samePick(ref, got) {
-						t.Fatalf("trial %d lambdaR=%v |cands|=%d: Workers=%d returned %+v, sequential %+v",
-							trial, lambdaR, len(cands), w, got, ref)
+			truth := graph.FromSystem(sys)
+			for _, g := range []*graph.Graph{truth, perturbedGraph(t, truth, uint64(trial))} {
+				conf := g.Conflicts()
+				for _, cands := range [][]int{full, g.Ball(seedReader, 4)} {
+					ref := Solve(sys, cands, Options{Conflicts: conf})
+					if !g.IsIndependentSet(ref.Set) {
+						t.Fatalf("trial %d lambdaR=%v: sequential set %v is not independent in the graph", trial, lambdaR, ref.Set)
+					}
+					for _, w := range []int{2, 4, 8} {
+						got := Solve(sys, cands, Options{Conflicts: conf, Workers: w})
+						if !samePick(ref, got) {
+							t.Fatalf("trial %d lambdaR=%v |cands|=%d: Workers=%d returned %+v, sequential %+v",
+								trial, lambdaR, len(cands), w, got, ref)
+						}
 					}
 				}
 			}
